@@ -693,9 +693,8 @@ func BenchmarkE15_GatewayThroughput(b *testing.B) {
 // plus real submissions) — against one gateway, 4 workers, with a
 // background driver advancing the campaign underneath the whole time. The
 // reproduced result is the workload completing error-free with every
-// consumer population served, plus the latency spread and the
-// p99-vs-lock-hold comparison: how much of the read tail is reads queued
-// behind the advance's write-lock hold.
+// consumer population served, plus the latency spread, the advance's
+// write-lock holds and the status views' own server-side cost.
 
 func BenchmarkE16_MixedWorkload(b *testing.B) {
 	cfg := core.DefaultConfig()
@@ -718,9 +717,7 @@ func BenchmarkE16_MixedWorkload(b *testing.B) {
 		// Advance pressure: a background driver steps the campaign an hour
 		// at a time while the workload runs, so the reported p99 is
 		// measured against live write-lock churn. AdvanceLockStats then
-		// says how long each advance actually held the shard write lock —
-		// the p99-vs-lock-hold comparison below is the E16 investigation's
-		// reproducible form.
+		// says how long each advance actually held the shard write lock.
 		stop := make(chan struct{})
 		advDone := make(chan struct{})
 		go func() {
@@ -768,16 +765,17 @@ func BenchmarkE16_MixedWorkload(b *testing.B) {
 	b.ReportMetric(float64(rep.NotModified), "hits_304")
 	b.ReportMetric(float64(rep.Latency.P50.Microseconds()), "p50_us")
 	b.ReportMetric(float64(rep.Latency.P99.Microseconds()), "p99_us")
-	// The p99 investigation's verdict: reads queue behind the advance's
-	// write lock, so the read tail is bounded below by the longest hold.
-	// On a monolithic gateway the whole campaign steps under one lock —
-	// the per-cluster micro-shards (E21) shrink exactly this hold.
 	lh := gw.AdvanceLockStats()
 	b.ReportMetric(float64(lh.Steps), "advance_lock_steps")
 	b.ReportMetric(lh.AvgMicros, "advance_lock_avg_us")
 	b.ReportMetric(lh.MaxMicros, "advance_lock_max_us")
-	if lh.MaxMicros > 0 {
-		b.ReportMetric(float64(rep.Latency.P99.Microseconds())/lh.MaxMicros, "p99_over_lock_hold_x")
+	// The dashboard views' own server-side cost, gate wait included.
+	for _, v := range []struct{ pattern, name string }{
+		{"/status/grid", "status_grid"}, {"/status/trend", "status_trend"},
+	} {
+		em := m.Endpoints[v.pattern]
+		b.ReportMetric(em.AvgMicros, v.name+"_avg_us")
+		b.ReportMetric(em.MaxMicros, v.name+"_max_us")
 	}
 	for _, s := range rep.Scenarios {
 		b.ReportMetric(float64(s.Iterations), s.Name+"_iters")

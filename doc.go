@@ -89,8 +89,9 @@
 //     scheduled arrival — coordinated-omission-safe, the measure the
 //     overload gate uses (g5kapi -loadgen [-rate N] is the CLI form)
 //   - internal/inproc — in-process http.RoundTripper used by the status
-//     page, the gateway's internal status client and the load generator
-//     to consume HTTP APIs without a listener
+//     page and the load generator to consume HTTP APIs without a
+//     listener (the gateway reads its shards' CI state directly, not
+//     through the REST API)
 //   - internal/suites — the 751 test configurations in 16 families
 //   - internal/sched — the external test scheduler (the paper's core
 //     custom development)

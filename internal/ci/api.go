@@ -103,33 +103,70 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
+	writeJSON(w, s.RootSummary())
+}
+
+// RootSummary returns the server summary: the body of GET /api/json, read
+// in one consistent snapshot under the server lock.
+func (s *Server) RootSummary() RootJSON {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := RootJSON{
-		QueueLength: s.QueueLength(),
-		Executors:   s.Executors(),
-		Busy:        s.BusyExecutors(),
-		TotalBuilds: s.TotalBuilds(),
+		QueueLength: len(s.queue),
+		Executors:   s.executors,
+		Busy:        s.running,
+		TotalBuilds: s.builtCount,
 	}
-	for _, name := range s.JobNames() {
-		j := s.JobByName(name)
-		jj := JobJSON{
-			Name:        j.Name,
-			Description: j.Description,
-			Matrix:      j.IsMatrix(),
-			CellCount:   j.CellCount(),
-		}
-		if last := s.LastCompleted(name); last != nil {
-			jj.LastBuild = last.Number
-			jj.LastResult = last.Result.String()
-		}
-		out.Jobs = append(out.Jobs, jj)
+	if len(s.jobOrder) > 0 { // no jobs stays nil: "jobs": null on the wire
+		out.Jobs = make([]JobJSON, 0, len(s.jobOrder))
 	}
-	writeJSON(w, out)
+	for _, name := range s.jobOrder {
+		out.Jobs = append(out.Jobs, jobJSON(s.jobs[name]))
+	}
+	return out
+}
+
+// jobJSON renders a job summary. Caller holds the server lock.
+func jobJSON(j *Job) JobJSON {
+	out := JobJSON{
+		Name:        j.Name,
+		Description: j.Description,
+		Matrix:      j.IsMatrix(),
+		CellCount:   j.CellCount(),
+	}
+	if last := j.lastCompletedLocked(); last != nil {
+		out.LastBuild = last.Number
+		out.LastResult = last.Result.String()
+	}
+	return out
 }
 
 // JobDetailJSON is the wire form of one job plus its retained builds.
 type JobDetailJSON struct {
 	JobJSON
 	Builds []BuildJSON `json:"builds"`
+}
+
+// JobDetail returns one job with its retained builds, oldest first: the
+// body of GET /job/{name}/api/json, read in one consistent snapshot under
+// the server lock. ok is false when no such job exists. The builds' Cell,
+// CellBuilds and BugSignatures share storage with the server's own
+// records; callers must not modify them.
+func (s *Server) JobDetail(name string) (out JobDetailJSON, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	j := s.jobs[name]
+	if j == nil {
+		return out, false
+	}
+	out.JobJSON = jobJSON(j)
+	if j.nbuilds > 0 { // no builds stays nil: "builds": null on the wire
+		out.Builds = make([]BuildJSON, j.nbuilds)
+		for i := range out.Builds {
+			out.Builds[i] = buildJSON(j.buildAt(i), false)
+		}
+	}
+	return out, true
 }
 
 // handleJob routes /job/... paths. Job names may themselves contain slashes
@@ -181,23 +218,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		j := s.JobByName(name)
-		if j == nil {
+		out, ok := s.JobDetail(name)
+		if !ok {
 			http.NotFound(w, r)
 			return
-		}
-		out := JobDetailJSON{JobJSON: JobJSON{
-			Name:        j.Name,
-			Description: j.Description,
-			Matrix:      j.IsMatrix(),
-			CellCount:   j.CellCount(),
-		}}
-		if last := s.LastCompleted(name); last != nil {
-			out.LastBuild = last.Number
-			out.LastResult = last.Result.String()
-		}
-		for _, b := range s.Builds(name) {
-			out.Builds = append(out.Builds, s.buildSnapshot(b, false))
 		}
 		writeJSON(w, out)
 

@@ -825,6 +825,12 @@ func (s *Server) LastCompleted(jobName string) *Build {
 	if j == nil {
 		return nil
 	}
+	return j.lastCompletedLocked()
+}
+
+// lastCompletedLocked is LastCompleted for a known job. Caller holds the
+// server lock.
+func (j *Job) lastCompletedLocked() *Build {
 	for i := j.nbuilds - 1; i >= 0; i-- {
 		b := j.buildAt(i)
 		if b.completed && b.Parent == 0 {

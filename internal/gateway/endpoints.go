@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -961,11 +962,11 @@ type GridCellJSON struct {
 	AtSec  float64 `json:"at_sec"`
 }
 
-// statusShards returns the shards with a status client.
+// statusShards returns the shards with a status source.
 func (g *Gateway) statusShards() []*shard {
 	var out []*shard
 	for _, s := range g.shards {
-		if s.statusClient != nil {
+		if s.statusSrc != nil {
 			out = append(out, s)
 		}
 	}
@@ -988,7 +989,7 @@ func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
 	for _, s := range g.availableShards(shards) {
 		var grid *status.Grid
 		var err error
-		s.rlocked(func() { grid, err = s.statusClient.BuildGrid() })
+		s.rlocked(func() { grid, err = status.BuildGrid(s.statusSrc) })
 		if err != nil {
 			httpError(w, http.StatusBadGateway, err.Error())
 			return
@@ -1053,18 +1054,18 @@ func (g *Gateway) handleStatusTrend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := g.degradedMarker()
-	var builds []ci.BuildJSON
+	var parts [][]ci.BuildJSON
 	for _, s := range g.availableShards(shards) {
 		var part []ci.BuildJSON
 		var gerr error
-		s.rlocked(func() { part, gerr = s.statusClient.AllBuilds() })
+		s.rlocked(func() { part, gerr = status.AllBuilds(s.statusSrc) })
 		if gerr != nil {
 			httpError(w, http.StatusBadGateway, gerr.Error())
 			return
 		}
-		builds = append(builds, part...)
+		parts = append(parts, part)
 	}
-	points := status.Trend(builds, bucket)
+	points := status.Trend(slices.Concat(parts...), bucket)
 	if points == nil {
 		points = []status.TrendPoint{}
 	}

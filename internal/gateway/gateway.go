@@ -163,9 +163,11 @@ type shard struct {
 	// monMu serializes this shard's monitoring queries (campaign RNG).
 	monMu sync.Mutex
 
-	// statusClient reads the shard CI's REST API in process to assemble
-	// the /status views, the same code path the external status page uses.
-	statusClient *status.Client
+	// statusSrc reads the shard CI server's state directly — no REST
+	// round trip, no JSON encode/decode — to assemble the /status views.
+	// The grid and trend logic is status's single copy, which the external
+	// status page (cmd/statuspage, status.Client) runs over the REST API.
+	statusSrc status.Source
 
 	// Rendered-body caches for the hot /ref endpoints.
 	invMu    sync.Mutex
@@ -288,7 +290,7 @@ func NewFederated(shardCfgs []ShardConfig) *Gateway {
 	for i, sc := range shardCfgs {
 		s := &shard{site: sc.Site, cluster: sc.Cluster, idx: i, cfg: sc.Config, invCache: map[int][]byte{}}
 		if sc.CI != nil {
-			s.statusClient = status.NewLocalClient(sc.CI.Handler())
+			s.statusSrc = status.NewServerSource(sc.CI)
 		}
 		s.sites = siteTopology(sc.Site, sc.TB)
 		g.shards = append(g.shards, s)

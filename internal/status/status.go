@@ -4,7 +4,11 @@
 // need the transposed view — per site or per cluster, across all tests —
 // and an historical perspective. The paper solves this with an external
 // page that consumes Jenkins' REST API; this package does the same against
-// internal/ci's API, over real HTTP.
+// internal/ci's API, over real HTTP (Client).
+//
+// The views are computed over a Source. Client is the REST one; a process
+// that hosts the CI server itself (the gateway) reads it directly through
+// NewServerSource and gets the same views without the encode/decode.
 //
 // Three views are produced:
 //
@@ -19,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,6 +116,14 @@ func retryAfterHint(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// Source is what the grid and trend views read: the CI server summary and
+// one job with its retained builds. *Client reads them over the REST API;
+// NewServerSource reads a *ci.Server in process.
+type Source interface {
+	Root() (ci.RootJSON, error)
+	JobDetail(name string) (ci.JobDetailJSON, error)
+}
+
 // Root fetches the server summary.
 func (c *Client) Root() (ci.RootJSON, error) {
 	var out ci.RootJSON
@@ -126,20 +139,46 @@ func (c *Client) JobDetail(name string) (ci.JobDetailJSON, error) {
 }
 
 // AllBuilds fetches every retained build of every job.
-func (c *Client) AllBuilds() ([]ci.BuildJSON, error) {
-	root, err := c.Root()
+func (c *Client) AllBuilds() ([]ci.BuildJSON, error) { return AllBuilds(c) }
+
+// BuildGrid assembles the grid from the CI API (see BuildGrid).
+func (c *Client) BuildGrid() (*Grid, error) { return BuildGrid(c) }
+
+// serverSource reads a CI server's state directly: the values its REST
+// API would render, without encoding or decoding them.
+type serverSource struct{ srv *ci.Server }
+
+// NewServerSource returns a Source over srv's in-process state. It yields
+// exactly what a Client over srv.Handler() decodes, at a fraction of the
+// cost; builds it returns share slices and maps with the server's records
+// and must not be modified.
+func NewServerSource(srv *ci.Server) Source { return serverSource{srv} }
+
+func (s serverSource) Root() (ci.RootJSON, error) { return s.srv.RootSummary(), nil }
+
+func (s serverSource) JobDetail(name string) (ci.JobDetailJSON, error) {
+	jd, ok := s.srv.JobDetail(name)
+	if !ok {
+		return jd, fmt.Errorf("status: no job %q", name)
+	}
+	return jd, nil
+}
+
+// AllBuilds reads every retained build of every job.
+func AllBuilds(src Source) ([]ci.BuildJSON, error) {
+	root, err := src.Root()
 	if err != nil {
 		return nil, err
 	}
-	var out []ci.BuildJSON
-	for _, j := range root.Jobs {
-		jd, err := c.JobDetail(j.Name)
+	parts := make([][]ci.BuildJSON, len(root.Jobs))
+	for i, j := range root.Jobs {
+		jd, err := src.JobDetail(j.Name)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, jd.Builds...)
+		parts[i] = jd.Builds
 	}
-	return out, nil
+	return slices.Concat(parts...), nil
 }
 
 // CellStatus is one grid entry.
@@ -170,12 +209,12 @@ func splitJobName(name string) (family, target string, ok bool) {
 	return name[:i], name[i+1:], true
 }
 
-// BuildGrid assembles the per-test × per-target matrix from the CI API.
-// Simple jobs named "family/target" contribute their last completed result;
-// the environments matrix job contributes one entry per cluster, the worst
+// BuildGrid assembles the per-test × per-target matrix from src. Simple
+// jobs named "family/target" contribute their last completed result; the
+// environments matrix job contributes one entry per cluster, the worst
 // result across that cluster's images in the latest completed parent build.
-func (c *Client) BuildGrid() (*Grid, error) {
-	root, err := c.Root()
+func BuildGrid(src Source) (*Grid, error) {
+	root, err := src.Root()
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +232,7 @@ func (c *Client) BuildGrid() (*Grid, error) {
 
 	for _, j := range root.Jobs {
 		if j.Matrix {
-			if err := c.mergeMatrix(g, j.Name, put); err != nil {
+			if err := mergeMatrix(src, j.Name, put); err != nil {
 				return nil, err
 			}
 			continue
@@ -202,7 +241,7 @@ func (c *Client) BuildGrid() (*Grid, error) {
 		if !ok || j.LastBuild == 0 {
 			continue
 		}
-		jd, err := c.JobDetail(j.Name)
+		jd, err := src.JobDetail(j.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -228,8 +267,8 @@ func (c *Client) BuildGrid() (*Grid, error) {
 
 // mergeMatrix folds the latest completed parent build of a matrix job into
 // the grid, one entry per distinct "cluster" axis value.
-func (c *Client) mergeMatrix(g *Grid, jobName string, put func(string, string, CellStatus)) error {
-	jd, err := c.JobDetail(jobName)
+func mergeMatrix(src Source, jobName string, put func(string, string, CellStatus)) error {
+	jd, err := src.JobDetail(jobName)
 	if err != nil {
 		return err
 	}
@@ -273,8 +312,23 @@ func (c *Client) mergeMatrix(g *Grid, jobName string, put func(string, string, C
 // worseResult reports whether a is more severe than b, using Jenkins
 // severity ordering.
 func worseResult(a, b string) bool {
-	rank := map[string]int{"SUCCESS": 0, "NOT_BUILT": 1, "UNSTABLE": 2, "ABORTED": 3, "FAILURE": 4}
-	return rank[a] > rank[b]
+	return severity(a) > severity(b)
+}
+
+// severity ranks a result string in Jenkins order: SUCCESS < NOT_BUILT <
+// UNSTABLE < ABORTED < FAILURE. Unknown strings (and "") rank as SUCCESS.
+func severity(result string) int {
+	switch result {
+	case "NOT_BUILT":
+		return 1
+	case "UNSTABLE":
+		return 2
+	case "ABORTED":
+		return 3
+	case "FAILURE":
+		return 4
+	}
+	return 0
 }
 
 // TargetReport is the transposed view: all families for one target.

@@ -2,8 +2,10 @@ package status
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -290,5 +292,68 @@ func TestAllBuilds(t *testing.T) {
 	// 3 simple + matrix parent + 4 cells = 8.
 	if len(builds) != 8 {
 		t.Fatalf("builds = %d", len(builds))
+	}
+}
+
+// TestServerSourceMatchesClient pins the direct read to the REST path: a
+// Source over the *ci.Server yields the grid and the builds (compared on
+// the wire) that a Client over its API decodes.
+func TestServerSourceMatchesClient(t *testing.T) {
+	c, s, cl := fixture(t)
+	src := NewServerSource(s)
+	check := func(stage string) {
+		t.Helper()
+		want, err := cl.BuildGrid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := BuildGrid(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: direct grid %+v, REST grid %+v", stage, got, want)
+		}
+		wantB, err := cl.AllBuilds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB, err := AllBuilds(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, _ := json.Marshal(wantB)
+		gj, _ := json.Marshal(gotB)
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("%s: direct builds\n%s\nREST builds\n%s", stage, gj, wj)
+		}
+	}
+	check("before any build")
+	runAll(c, s)
+	runAll(c, s)
+	check("after two runs")
+	if _, err := src.JobDetail("ghost"); err == nil {
+		t.Fatal("ghost job accepted")
+	}
+}
+
+// TestWorseResultOrder pins Jenkins' severity order, SUCCESS < NOT_BUILT <
+// UNSTABLE < ABORTED < FAILURE, with "" (never run) ranking as SUCCESS, and
+// that the comparison allocates nothing (it runs once per matrix cell per
+// grid view).
+func TestWorseResultOrder(t *testing.T) {
+	order := []string{"SUCCESS", "NOT_BUILT", "UNSTABLE", "ABORTED", "FAILURE"}
+	for i, a := range order {
+		for j, b := range order {
+			if got := worseResult(a, b); got != (i > j) {
+				t.Fatalf("worseResult(%s, %s) = %v", a, b, got)
+			}
+		}
+		if got := worseResult(a, ""); got != (i > 0) {
+			t.Fatalf("worseResult(%s, \"\") = %v", a, got)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { worseResult("FAILURE", "UNSTABLE") }); n != 0 {
+		t.Fatalf("worseResult allocates %v times per call", n)
 	}
 }
