@@ -11,7 +11,7 @@ TRACKED_BENCHES = BenchmarkE2_,BenchmarkE9_,BenchmarkE12_,BenchmarkE13_,Benchmar
 # benchmarks themselves).
 TRACKED_ALLOCS_BENCHES = BenchmarkE18_,BenchmarkE19_,BenchmarkE20_,BenchmarkE21_
 
-.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check bench bench-check check
+.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check fuzz-smoke bench bench-check check
 
 all: check
 
@@ -79,6 +79,12 @@ admit-check:
 intel-check:
 	$(GO) test -race -count=1 ./internal/intel
 	$(GO) test -race -count=1 -run 'TestGridAt|TestGridDiff|TestIncidents|TestReliability|TestShardInventoryAt|TestFederatedVersionHint|TestBugsRollup|TestIntelUnderChaos' ./internal/gateway
+
+# fuzz-smoke fuzzes the gateway's If-None-Match comparison for ten seconds
+# from its table-test seeds: no header may panic it, and an ETag of the
+# form the gateway emits must always match itself.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzETagMatches -fuzztime 10s ./internal/gateway
 
 # bench runs the full experiment suite once and records every number
 # (ns/op, allocs/op, reproduced sim metrics) in BENCH_results.json via

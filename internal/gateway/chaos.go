@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/simclock"
@@ -44,42 +45,9 @@ type ChaosController interface {
 // federation itself). Call before serving.
 func (g *Gateway) SetChaos(c ChaosController) { g.chaos = c }
 
-// SetAdvance overrides Gateway.Advance with an external driver.
-// ForFederation points it at Federation.Advance so HTTP-driven time always
-// goes through the barrier engine — which is what freezes downed shards and
-// replays their catch-up ticks deterministically.
-func (g *Gateway) SetAdvance(fn func(simclock.Time)) { g.advanceOverride = fn }
-
 // siteAvailable reports whether the named site's routes should serve.
 func (g *Gateway) siteAvailable(site string) bool {
 	return g.chaos == nil || g.chaos.SiteAvailable(site)
-}
-
-// availableShards filters out shards whose site is currently down. The
-// unreachable (partitioned) set is excluded too: those shards keep serving
-// their site-scoped routes, but merged views must not show state the merge
-// plane cannot reach.
-func (g *Gateway) availableShards(in []*shard) []*shard {
-	if g.chaos == nil {
-		return in
-	}
-	cut := map[string]bool{}
-	for _, s := range g.chaos.DownSites() {
-		cut[s] = true
-	}
-	for _, s := range g.chaos.UnreachableSites() {
-		cut[s] = true
-	}
-	if len(cut) == 0 {
-		return in
-	}
-	out := make([]*shard, 0, len(in))
-	for _, s := range in {
-		if !cut[s.site] {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // DegradedJSON marks a merged response assembled while part of the grid was
@@ -90,32 +58,69 @@ type DegradedJSON struct {
 	UnreachableSites []string `json:"unreachable_sites,omitempty"`
 }
 
-// degradedMarker returns the marker for merged responses, or nil while the
-// grid is healthy (so healthy wire shapes are byte-identical to the
-// pre-chaos gateway).
-func (g *Gateway) degradedMarker() *DegradedJSON {
+// chaosView is one read of the degraded state. A merged handler derives
+// its marker, its surviving shards and its cache-key suffix from a single
+// view, so a heal or inject landing mid-request cannot pair a body with
+// another grid's marker or key.
+type chaosView struct {
+	// marker is nil while the grid is whole, so healthy wire shapes are
+	// byte-identical to the pre-chaos gateway.
+	marker *DegradedJSON
+	// cut holds the lost site labels, down or unreachable: partitioned
+	// shards keep serving their site-scoped routes, but merged views must
+	// not show state the merge plane cannot reach.
+	cut map[string]bool
+}
+
+func (g *Gateway) chaosView() chaosView {
 	if g.chaos == nil {
-		return nil
+		return chaosView{}
 	}
-	down := g.chaos.DownSites()
-	unreachable := g.chaos.UnreachableSites()
+	down, unreachable := g.chaos.DownSites(), g.chaos.UnreachableSites()
 	if len(down) == 0 && len(unreachable) == 0 {
-		return nil
+		return chaosView{}
 	}
-	cut := map[string]bool{}
+	v := chaosView{
+		marker: &DegradedJSON{DownSites: down, UnreachableSites: unreachable},
+		cut:    make(map[string]bool, len(down)+len(unreachable)),
+	}
 	for _, s := range down {
-		cut[s] = true
+		v.cut[s] = true
 	}
 	for _, s := range unreachable {
-		cut[s] = true
+		v.cut[s] = true
 	}
-	marker := &DegradedJSON{DownSites: down, UnreachableSites: unreachable}
 	for _, site := range g.sites {
-		if !cut[site] {
-			marker.SurvivingSites = append(marker.SurvivingSites, site)
+		if !v.cut[site] {
+			v.marker.SurvivingSites = append(v.marker.SurvivingSites, site)
 		}
 	}
-	return marker
+	return v
+}
+
+// shards filters out the shards of lost sites.
+func (v chaosView) shards(in []*shard) []*shard {
+	if v.cut == nil {
+		return in
+	}
+	out := make([]*shard, 0, len(in))
+	for _, s := range in {
+		if !v.cut[s.site] {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// keySuffix suffixes a merged view's ETag with the lost-site set, so a
+// degraded merge never serves (or matches a conditional request against) a
+// body rendered while the grid was whole, and vice versa.
+func (v chaosView) keySuffix() string {
+	if v.marker == nil {
+		return ""
+	}
+	lost := append(append([]string(nil), v.marker.DownSites...), v.marker.UnreachableSites...)
+	return "|down:" + strings.Join(lost, "+")
 }
 
 // siteUnavailable answers for a route whose site is lost: 503 with a

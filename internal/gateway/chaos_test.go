@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -310,5 +311,66 @@ func TestChaosPartitionKeepsSitesServing(t *testing.T) {
 	resp, body = get(t, c, "/oar/resources")
 	if merged := decode[OARResourcesJSON](t, body); merged.Degraded != nil {
 		t.Fatalf("marker survived heal: %+v", merged.Degraded)
+	}
+}
+
+// flippingChaos reports lyon down on every other DownSites call, so a
+// handler that consults the chaos state twice in one request sees two
+// different grids.
+type flippingChaos struct {
+	ChaosController
+	calls atomic.Int64
+}
+
+func (f *flippingChaos) DownSites() []string {
+	if f.calls.Add(1)%2 == 0 {
+		return []string{"lyon"}
+	}
+	return nil
+}
+
+func (f *flippingChaos) UnreachableSites() []string { return nil }
+
+func (f *flippingChaos) SiteAvailable(string) bool { return true }
+
+// TestChaosSnapshotPerRequest: a merged view's body, degraded marker and
+// cache key come from one read of the chaos state — a heal or inject
+// landing mid-request can never cache a body that is missing a site yet
+// carries no marker, or whose key names another shard set.
+func TestChaosSnapshotPerRequest(t *testing.T) {
+	_, gw := newChaosCampaign(t)
+	gw.SetChaos(&flippingChaos{ChaosController: gw.chaos})
+	c := inproc.Client(gw)
+	for _, path := range []string{"/ref/inventory", "/ref/diff", "/oar/resources"} {
+		for i := 0; i < 4; i++ {
+			resp, body := get(t, c, path)
+			v := decode[struct {
+				Degraded *DegradedJSON           `json:"degraded"`
+				Sites    []struct{ Site string } `json:"sites"`
+				Nodes    []struct{ Site string } `json:"nodes"`
+			}](t, body)
+			seen := map[string]bool{}
+			for _, s := range v.Sites {
+				seen[s.Site] = true
+			}
+			for _, n := range v.Nodes {
+				seen[n.Site] = true
+			}
+			want := gw.Sites()
+			if v.Degraded != nil {
+				want = v.Degraded.SurvivingSites
+			}
+			if len(seen) != len(want) {
+				t.Fatalf("%s read %d: body covers %d sites, marker %+v says %v", path, i, len(seen), v.Degraded, want)
+			}
+			for _, s := range want {
+				if !seen[s] {
+					t.Fatalf("%s read %d: body lacks surviving site %s (marker %+v)", path, i, s, v.Degraded)
+				}
+			}
+			if etag := resp.Header.Get("ETag"); etag != "" && strings.Contains(etag, "|down:") != (v.Degraded != nil) {
+				t.Fatalf("%s read %d: ETag %s disagrees with marker %+v", path, i, etag, v.Degraded)
+			}
+		}
 	}
 }

@@ -131,8 +131,9 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 	default:
 		// Scatter-gather over the surviving shards, shard order (= site
 		// order); lost shards are excluded and the marker says which.
-		degraded = g.degradedMarker()
-		for _, s := range g.availableShards(shards) {
+		view := g.chaosView()
+		degraded = view.marker
+		for _, s := range view.shards(shards) {
 			nodes = append(nodes, s.resourcesScoped("", "")...)
 		}
 	}
@@ -202,8 +203,9 @@ func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*s
 	narrow := len(only) == 1 && shardSpansSites(only[0], site)
 	var out OARJobsJSON
 	if only == nil {
-		out.Degraded = g.degradedMarker()
-		shards = g.availableShards(shards)
+		view := g.chaosView()
+		out.Degraded = view.marker
+		shards = view.shards(shards)
 	}
 	for _, s := range shards {
 		fetch := limit
@@ -824,9 +826,9 @@ func (g *Gateway) handleBugs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	family := r.URL.Query().Get("family")
-	var out BugsJSON
-	out.Degraded = g.degradedMarker()
-	for _, s := range g.availableShards(shards) {
+	view := g.chaosView()
+	out := BugsJSON{Degraded: view.marker}
+	for _, s := range view.shards(shards) {
 		site := ""
 		if g.federated() {
 			site = s.site
@@ -903,21 +905,11 @@ func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	degraded := g.degradedMarker()
-	snaps := intel.SnapshotTrackers(g.liveTrackers(excludedSites(degraded)))
-	key := "br" + intel.VersionKey64(snaps) + "|" + state + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.intelMu.Lock()
-	body := g.rollupBody
-	hit := g.rollupKey == key && body != nil
-	g.intelMu.Unlock()
-	if !hit {
-		out := BugsRollupJSON{Degraded: degraded, Rollup: []BugRollupJSON{}}
+	view := g.chaosView()
+	snaps := intel.SnapshotTrackers(g.liveTrackers(view.cut))
+	etag := `"br` + intel.VersionKey64(snaps) + "|" + state + view.keySuffix() + `"`
+	serveVersioned(w, r, etag, g.rollup, func() (any, error) {
+		out := BugsRollupJSON{Degraded: view.marker, Rollup: []BugRollupJSON{}}
 		for _, e := range bugs.RollupSorted(rollupFromSnapshots(snaps, state)) {
 			out.Rollup = append(out.Rollup, BugRollupJSON{
 				Signature:       e.Signature,
@@ -931,17 +923,8 @@ func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		out.Count = len(out.Rollup)
-		body, err = marshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.intelMu.Lock()
-		g.rollupKey, g.rollupBody = key, body
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return out, nil
+	})
 }
 
 // ---- status views ----------------------------------------------------------
@@ -982,11 +965,11 @@ func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
 	// Scatter: one grid per surviving shard, each under its own gate;
 	// gather into a merged grid. Family/target spaces are disjoint across
 	// shards (each site owns its clusters), so the merge is a union.
-	degraded := g.degradedMarker()
+	view := g.chaosView()
 	merged := &status.Grid{Cells: map[string]map[string]status.CellStatus{}}
 	famSet := map[string]bool{}
 	tgtSet := map[string]bool{}
-	for _, s := range g.availableShards(shards) {
+	for _, s := range view.shards(shards) {
 		var grid *status.Grid
 		var err error
 		s.rlocked(func() { grid, err = status.BuildGrid(s.statusSrc) })
@@ -1019,7 +1002,7 @@ func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(merged.Targets)
 
 	out := GridJSON{
-		Degraded:  degraded,
+		Degraded:  view.marker,
 		Families:  merged.Families,
 		Targets:   merged.Targets,
 		OKRatePct: 100 * merged.OKRate(),
@@ -1053,9 +1036,9 @@ func (g *Gateway) handleStatusTrend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad bucket_sec")
 		return
 	}
-	degraded := g.degradedMarker()
+	view := g.chaosView()
 	var parts [][]ci.BuildJSON
-	for _, s := range g.availableShards(shards) {
+	for _, s := range view.shards(shards) {
 		var part []ci.BuildJSON
 		var gerr error
 		s.rlocked(func() { part, gerr = status.AllBuilds(s.statusSrc) })
@@ -1069,7 +1052,7 @@ func (g *Gateway) handleStatusTrend(w http.ResponseWriter, r *http.Request) {
 	if points == nil {
 		points = []status.TrendPoint{}
 	}
-	writeJSON(w, TrendJSON{Degraded: degraded, BucketSec: bucket, Points: points})
+	writeJSON(w, TrendJSON{Degraded: view.marker, BucketSec: bucket, Points: points})
 }
 
 // ---- small parsers ---------------------------------------------------------

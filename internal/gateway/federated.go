@@ -52,9 +52,8 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		})
 	}
 	gw := NewFederated(shards)
-	gw.SetAdvanceWorkers(fed.Workers())
 	gw.SetChaos(fed)
-	gw.SetAdvance(fed.Advance)
+	gw.advanceOverride = fed.Advance
 	gw.siteAdvance = fed.StepSite
 	fed.SetStepGate(func(site, cluster string, step func()) {
 		s := gw.shardFor(site, cluster)

@@ -76,11 +76,12 @@
 // progress. Monitoring queries additionally serialize per shard because a
 // flaky-kwapi roll draws from that shard's campaign RNG.
 //
-// The /ref endpoints are read-optimized: responses carry a strong ETag
-// derived from the store's version counter (federated: the joined counters
-// of every shard), conditional requests short-cut to 304 before any
-// snapshot is materialized or marshaled, and rendered bodies are cached
-// per version — hot reads cost two atomic counters and a map hit.
+// The versioned views (/ref, /grid, /incidents, /bugs/rollup,
+// /reliability/trend) all answer through serveVersioned (versioned.go): a
+// strong ETag derived from version counters alone (federated: the joined
+// counters of every shard), a 304 short-cut before any snapshot is
+// materialized or marshaled, and a bounded body cache per view — hot reads
+// cost a few atomic counters and a cache hit.
 //
 // # Degraded mode
 //
@@ -97,7 +98,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,7 +145,7 @@ type ShardConfig struct {
 }
 
 // shard is one site's serving state: its subsystem set, its campaign gate,
-// and its rendered-body caches for the hot /ref reads.
+// and its body caches for the hot /ref reads.
 type shard struct {
 	site    string
 	cluster string // micro-shard label; "" for whole-site and monolithic shards
@@ -169,13 +169,8 @@ type shard struct {
 	// status page (cmd/statuspage, status.Client) runs over the REST API.
 	statusSrc status.Source
 
-	// Rendered-body caches for the hot /ref endpoints.
-	invMu    sync.Mutex
-	invCache map[int][]byte
-	diffMu   sync.Mutex
-	diffFrom int
-	diffTo   int
-	diffBody []byte
+	inv  *bodyCache // up to 8 versions
+	diff *bodyCache
 }
 
 // rlocked runs fn under the shard's read gate.
@@ -203,17 +198,12 @@ type Gateway struct {
 	// metrics is keyed by mux pattern; read-only after assembly.
 	metrics map[string]*endpointMetrics
 
-	// advanceWorkers bounds how many shards Advance steps concurrently
-	// (0 = all at once). ForFederation sets it from the federation's own
-	// worker cap so live serving honours the same bound as the engine.
-	advanceWorkers int
-
 	// chaos, when set, drives degraded-mode routing: lost sites answer 503,
 	// merged views exclude them and carry a degraded marker, and the /chaos
 	// endpoints inject and heal grid events (see chaos.go).
 	chaos ChaosController
 
-	// advanceOverride, when set, replaces the per-shard fan-out of Advance —
+	// advanceOverride, when set, replaces the per-shard loop of Advance —
 	// ForFederation points it at the federation's barrier engine so chaos
 	// semantics (frozen shards, catch-up ticks) apply to HTTP-driven time.
 	advanceOverride func(simclock.Time)
@@ -233,19 +223,13 @@ type Gateway struct {
 	// a bounded reservation queue and 429 load shedding (see admission.go).
 	admission *admit.Controller
 
-	// Federated /ref rendered-body caches, keyed by the joined version
-	// string of all shards (see ref.go).
-	fedMu       sync.Mutex
-	fedInvKey   string
-	fedInvBody  []byte
-	fedDiffKey  string
-	fedDiffBody []byte
-
-	// Joined site-scoped /ref caches for micro-sharded sites, keyed by
-	// site; each entry carries its own joined-version key (see ref.go).
-	siteRefMu     sync.Mutex
-	siteInvCache  map[string]siteRefCache
-	siteDiffCache map[string]siteRefCache
+	// Body caches of the merged versioned views (serveVersioned); the
+	// per-site maps are built at assembly and read-only afterwards.
+	cacheStats        map[string]*cacheStats
+	fedInv, fedDiff   *bodyCache
+	siteInv, siteDiff map[string]*bodyCache
+	gridAt, gridDiff  *bodyCache
+	incidents, rollup *bodyCache
 
 	// Grid intelligence (internal/intel): the federated archive and
 	// tracker sources assembled over the shards at construction, and the
@@ -253,18 +237,6 @@ type Gateway struct {
 	archive     *intel.GridArchive
 	trackers    []intel.SiteTracker
 	reliability *intel.TrendStore
-
-	// Rendered-body caches for the intel endpoints, each keyed by its
-	// composite version key (+ the down-set suffix).
-	intelMu      sync.Mutex
-	gridAtKey    string
-	gridAtBody   []byte
-	gridDiffKey  string
-	gridDiffBody []byte
-	incKey       string
-	incBody      []byte
-	rollupKey    string
-	rollupBody   []byte
 }
 
 // New assembles a single-shard gateway over the configured subsystems —
@@ -286,9 +258,11 @@ func NewFederated(shardCfgs []ShardConfig) *Gateway {
 		started:    time.Now(),
 		metrics:    map[string]*endpointMetrics{},
 		siteShards: map[string][]*shard{},
+		cacheStats: map[string]*cacheStats{},
 	}
 	for i, sc := range shardCfgs {
-		s := &shard{site: sc.Site, cluster: sc.Cluster, idx: i, cfg: sc.Config, invCache: map[int][]byte{}}
+		s := &shard{site: sc.Site, cluster: sc.Cluster, idx: i, cfg: sc.Config,
+			inv: g.newBodyCache("shard_inventory", 8), diff: g.newBodyCache("shard_diff", 1)}
 		if sc.CI != nil {
 			s.statusSrc = status.NewServerSource(sc.CI)
 		}
@@ -334,6 +308,19 @@ func NewFederated(shardCfgs []ShardConfig) *Gateway {
 	}
 	g.archive = intel.NewGridArchive(arcs)
 	g.reliability = &intel.TrendStore{}
+
+	g.fedInv = g.newBodyCache("federated_inventory", 1)
+	g.fedDiff = g.newBodyCache("federated_diff", 1)
+	g.siteInv = make(map[string]*bodyCache, len(g.sites))
+	g.siteDiff = make(map[string]*bodyCache, len(g.sites))
+	for _, site := range g.sites {
+		g.siteInv[site] = g.newBodyCache("site_inventory", 1)
+		g.siteDiff[site] = g.newBodyCache("site_diff", 1)
+	}
+	g.gridAt = g.newBodyCache("grid_at", 1)
+	g.gridDiff = g.newBodyCache("grid_diff", 1)
+	g.incidents = g.newBodyCache("incidents", 1)
+	g.rollup = g.newBodyCache("bugs_rollup", 1)
 
 	g.handle("/", http.MethodGet, g.handleIndex)
 	g.handle("/sites", http.MethodGet, g.handleSites)
@@ -381,17 +368,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// SetAdvanceWorkers bounds how many shards Advance steps concurrently
-// (n <= 0 restores the default: all shards at once). Call before serving.
-func (g *Gateway) SetAdvanceWorkers(n int) { g.advanceWorkers = n }
-
-// Advance steps every shard's campaign by d of simulated time. Each shard
-// steps under its own write lock, so requests against one shard proceed
-// while another is still advancing; a multi-shard advance fans the shards
-// out across up to SetAdvanceWorkers goroutines (they share no simulation
-// state). A no-op for shards assembled without an Advance hook. With an
-// advance override installed (ForFederation), the external driver runs
-// instead — it reaches back into the shards through their step gates.
+// Advance steps every shard's campaign by d of simulated time, one shard
+// at a time, each under its own write lock — requests against one shard
+// proceed while another is still advancing. A no-op for shards assembled
+// without an Advance hook. With an advance override installed
+// (ForFederation), the federation's barrier engine runs instead — it
+// reaches back into the shards through their step gates.
 func (g *Gateway) Advance(d simclock.Time) {
 	if g.advanceOverride != nil {
 		// The override (Federation.Advance) fires the grid listener on
@@ -400,32 +382,9 @@ func (g *Gateway) Advance(d simclock.Time) {
 		return
 	}
 	defer g.pumpAdmission()
-	if len(g.shards) == 1 {
-		g.advanceShard(g.shards[0], d)
-		return
-	}
-	workers := g.advanceWorkers
-	if workers <= 0 || workers > len(g.shards) {
-		workers = len(g.shards)
-	}
-	jobs := make(chan *shard)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				g.advanceShard(s, d)
-			}
-		}()
-	}
 	for _, s := range g.shards {
-		if s.cfg.Advance != nil {
-			jobs <- s
-		}
+		g.advanceShard(s, d)
 	}
-	close(jobs)
-	wg.Wait()
 }
 
 // AdvanceSite steps only the shards owning the named site — all of its
@@ -709,15 +668,23 @@ type EndpointMetrics struct {
 	MaxMicros   float64 `json:"max_us"`
 }
 
-// MetricsReport is the wire form of GET /metrics.
+// BodyCacheMetrics is the wire form of one body-cache family's counters.
+type BodyCacheMetrics struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+}
+
+// MetricsReport is the wire form of GET /metrics. BodyCaches lists the
+// versioned views' cache families that have served a full read.
 type MetricsReport struct {
-	UptimeSec float64                    `json:"uptime_sec"`
-	SimNowSec float64                    `json:"sim_now_sec,omitempty"`
-	Shards    int                        `json:"shards,omitempty"`
-	Requests  int64                      `json:"requests"`
-	Errors    int64                      `json:"errors"`
-	Admission *admit.StatsJSON           `json:"admission,omitempty"`
-	Endpoints map[string]EndpointMetrics `json:"endpoints"`
+	UptimeSec  float64                     `json:"uptime_sec"`
+	SimNowSec  float64                     `json:"sim_now_sec,omitempty"`
+	Shards     int                         `json:"shards,omitempty"`
+	Requests   int64                       `json:"requests"`
+	Errors     int64                       `json:"errors"`
+	Admission  *admit.StatsJSON            `json:"admission,omitempty"`
+	BodyCaches map[string]BodyCacheMetrics `json:"body_caches,omitempty"`
+	Endpoints  map[string]EndpointMetrics  `json:"endpoints"`
 }
 
 // Metrics snapshots the gateway's counters (what GET /metrics serves).
@@ -749,6 +716,16 @@ func (g *Gateway) Metrics() MetricsReport {
 		rep.Requests += em.Requests
 		rep.Errors += em.Errors
 		rep.Endpoints[pattern] = em
+	}
+	for family, st := range g.cacheStats {
+		bc := BodyCacheMetrics{Hits: st.hits.Load(), Misses: st.misses.Load()}
+		if bc.Hits+bc.Misses == 0 {
+			continue
+		}
+		if rep.BodyCaches == nil {
+			rep.BodyCaches = map[string]BodyCacheMetrics{}
+		}
+		rep.BodyCaches[family] = bc
 	}
 	return rep
 }
@@ -801,22 +778,4 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 // notConfigured answers for endpoints whose subsystem was not wired in.
 func notConfigured(w http.ResponseWriter, what string) {
 	httpError(w, http.StatusServiceUnavailable, what+" not configured")
-}
-
-// etagMatches implements the If-None-Match comparison for strong ETags:
-// "*" matches anything, otherwise any listed tag must equal etag (weak
-// validators — W/ prefixed — are compared by their opaque part, per the
-// weak comparison RFC 9110 prescribes for If-None-Match).
-func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == "*" || part == etag {
-			return true
-		}
-	}
-	return false
 }

@@ -333,10 +333,10 @@ func TestInventoryCacheBound(t *testing.T) {
 			t.Fatalf("version %d status = %d", v, resp.StatusCode)
 		}
 	}
-	s := gw.shards[0]
-	s.invMu.Lock()
-	size := len(s.invCache)
-	s.invMu.Unlock()
+	inv := gw.shards[0].inv
+	inv.mu.Lock()
+	size := len(inv.entries)
+	inv.mu.Unlock()
 	if size > 8 {
 		t.Fatalf("inventory cache grew to %d entries (bound is 8)", size)
 	}

@@ -7,11 +7,12 @@ package gateway
 //	GET /incidents[?at=S]     cross-site incident rollup (live or as-of)
 //	GET /reliability/trend    fleet reliability confidence bands
 //
-// All four follow the /ref conditional-request discipline: the ETag is a
-// strong composite key (archive version vector, tracker version vector, or
-// trend version) computed without materializing anything, a matching
-// If-None-Match short-cuts to 304, and rendered bodies are cached under
-// that same key. The key and the body are pinned to each other — vector
+// All four answer through serveVersioned (versioned.go), like /ref: the
+// ETag is a strong composite key (archive version vector, tracker version
+// vector, or trend version) computed without materializing anything, a
+// matching If-None-Match short-cuts to 304, and rendered bodies are cached
+// under that same ETag (the stored trend is served uncached). The key and
+// the body are pinned to each other — vector
 // reads happen under the shard gates, bodies are materialized from the
 // exact versions the key names (GridArchive.Materialize / DiffVector,
 // intel.TrackerSnapshot) — so a body can never be newer than its ETag even
@@ -29,22 +30,6 @@ import (
 	"repro/internal/intel"
 	"repro/internal/refapi"
 )
-
-// excludedSites folds a degraded marker into the site-label exclusion set
-// the intel passes consume (nil while the grid is healthy).
-func excludedSites(d *DegradedJSON) map[string]bool {
-	if d == nil {
-		return nil
-	}
-	cut := make(map[string]bool, len(d.DownSites)+len(d.UnreachableSites))
-	for _, s := range d.DownSites {
-		cut[s] = true
-	}
-	for _, s := range d.UnreachableSites {
-		cut[s] = true
-	}
-	return cut
-}
 
 // liveTrackers filters the assembled tracker sources down to the surviving
 // sites.
@@ -109,8 +94,8 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad t %q (simtime seconds)", q))
 		return
 	}
-	degraded := g.degradedMarker()
-	vec := g.archive.VersionVector(secondsToSim(sec), excludedSites(degraded))
+	view := g.chaosView()
+	vec := g.archive.VersionVector(secondsToSim(sec), view.cut)
 	if len(vec) == 0 {
 		w.Header().Set("Retry-After", "60")
 		httpError(w, http.StatusServiceUnavailable, "every archived site is down")
@@ -121,21 +106,10 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no site had a capture at or before t=%ss", q))
 		return
 	}
-	key := "ga" + intel.VersionKey(vec) + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.intelMu.Lock()
-	body := g.gridAtBody
-	hit := g.gridAtKey == key && body != nil
-	g.intelMu.Unlock()
-	if !hit {
+	serveVersioned(w, r, `"ga`+intel.VersionKey(vec)+view.keySuffix()+`"`, g.gridAt, func() (any, error) {
 		snap := g.archive.Materialize(vec)
 		out := GridAtJSON{
-			Degraded: degraded,
+			Degraded: view.marker,
 			AsOfSec:  snap.AsOf.Seconds(),
 			Sites:    make([]GridSiteJSON, 0, len(snap.Sites)),
 		}
@@ -148,17 +122,8 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 				Inventory:  sc.Snapshot,
 			})
 		}
-		body, err = marshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.intelMu.Lock()
-		g.gridAtKey, g.gridAtBody = key, body
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return out, nil
+	})
 }
 
 // ---- GET /grid/diff ---------------------------------------------------------
@@ -206,10 +171,9 @@ func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("from %ss > to %ss", fromQ, toQ))
 		return
 	}
-	degraded := g.degradedMarker()
-	exclude := excludedSites(degraded)
-	vecFrom := g.archive.VersionVector(secondsToSim(fromSec), exclude)
-	vecTo := g.archive.VersionVector(secondsToSim(toSec), exclude)
+	view := g.chaosView()
+	vecFrom := g.archive.VersionVector(secondsToSim(fromSec), view.cut)
+	vecTo := g.archive.VersionVector(secondsToSim(toSec), view.cut)
 	if len(vecTo) == 0 {
 		w.Header().Set("Retry-After", "60")
 		httpError(w, http.StatusServiceUnavailable, "every archived site is down")
@@ -220,21 +184,11 @@ func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no site had a capture at or before to=%ss", toQ))
 		return
 	}
-	key := "gd" + intel.VersionKey(vecFrom) + "-" + intel.VersionKey(vecTo) + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.intelMu.Lock()
-	body := g.gridDiffBody
-	hit := g.gridDiffKey == key && body != nil
-	g.intelMu.Unlock()
-	if !hit {
+	etag := `"gd` + intel.VersionKey(vecFrom) + "-" + intel.VersionKey(vecTo) + view.keySuffix() + `"`
+	serveVersioned(w, r, etag, g.gridDiff, func() (any, error) {
 		diff := g.archive.DiffVector(vecFrom, vecTo)
 		out := GridDiffJSON{
-			Degraded: degraded,
+			Degraded: view.marker,
 			Count:    diff.Count,
 			Sites:    make([]GridDiffSiteJSON, 0, len(diff.Sites)),
 		}
@@ -247,17 +201,8 @@ func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
 				Differences: sd.Differences,
 			})
 		}
-		body, err = marshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.intelMu.Lock()
-		g.gridDiffKey, g.gridDiffBody = key, body
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return out, nil
+	})
 }
 
 // ---- GET /incidents ---------------------------------------------------------
@@ -309,23 +254,13 @@ func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
 		atLabel = strconv.FormatFloat(sec, 'g', -1, 64)
 		atSec = &sec
 	}
-	degraded := g.degradedMarker()
-	snaps := intel.SnapshotTrackers(g.liveTrackers(excludedSites(degraded)))
-	key := "inc" + intel.VersionKey64(snaps) + "|" + state + "|at:" + atLabel + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.intelMu.Lock()
-	body := g.incBody
-	hit := g.incKey == key && body != nil
-	g.intelMu.Unlock()
-	if !hit {
+	view := g.chaosView()
+	snaps := intel.SnapshotTrackers(g.liveTrackers(view.cut))
+	etag := `"inc` + intel.VersionKey64(snaps) + "|" + state + "|at:" + atLabel + view.keySuffix() + `"`
+	serveVersioned(w, r, etag, g.incidents, func() (any, error) {
 		incidents := intel.CorrelateSnapshots(snaps, opts)
 		out := IncidentsJSON{
-			Degraded:  degraded,
+			Degraded:  view.marker,
 			AtSec:     atSec,
 			Count:     len(incidents),
 			Incidents: make([]IncidentJSON, 0, len(incidents)),
@@ -349,17 +284,8 @@ func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
 				LastSeenSec:  in.LastSeen.Seconds(),
 			})
 		}
-		body, err = marshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.intelMu.Lock()
-		g.incKey, g.incBody = key, body
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return out, nil
+	})
 }
 
 // ---- GET /reliability/trend -------------------------------------------------
@@ -378,15 +304,9 @@ func (g *Gateway) handleReliabilityTrend(w http.ResponseWriter, r *http.Request)
 			"no reliability trend computed yet; run a fleet sweep (g5ktest -reliability) and install it with SetReliabilityTrend")
 		return
 	}
-	etag := `"r` + strconv.Itoa(ver) + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
 	// Served verbatim: a client decoding this body holds the exact Trend
 	// the CLI renders, which is what the shared-renderer equality rests on.
-	writeJSON(w, trend)
+	serveVersioned(w, r, `"r`+strconv.Itoa(ver)+`"`, nil, func() (any, error) { return trend, nil })
 }
 
 // rollupFromSnapshots folds pre-read tracker snapshots into the /bugs/rollup

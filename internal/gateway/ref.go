@@ -2,14 +2,12 @@ package gateway
 
 // The Reference API endpoints. These are the gateway's hottest reads —
 // scripts poll the testbed description constantly — so both are built
-// around the store's monotone version counter:
-//
-//   - the ETag of /ref/inventory?version=N is "vN"; the current inventory's
-//     ETag advances exactly when Store.Update archives a new version;
-//   - a conditional request whose ETag still matches returns 304 before any
-//     snapshot is materialized or marshaled;
-//   - rendered bodies are cached per version, so even non-conditional hot
-//     reads marshal each version once.
+// around the store's monotone version counter and answer through
+// serveVersioned (versioned.go): the ETag of /ref/inventory?version=N is
+// "vN", the current inventory's ETag advances exactly when Store.Update
+// archives a new version, a matching conditional request returns 304
+// before any snapshot is materialized, and each shard caches the bodies of
+// its 8 most recently rendered versions.
 //
 // On a federated gateway the unscoped paths scatter-gather: the ETag joins
 // every shard's version counter ("v3.1.7"), a conditional hit answers 304
@@ -47,11 +45,6 @@ func parseVersion(r *http.Request, key string) (int, error) {
 	return v, nil
 }
 
-// refShards returns the shards carrying a Reference API store.
-func (g *Gateway) refShards() []*shard {
-	return refShardsOf(g.shards)
-}
-
 // refShardsOf filters a shard set down to those carrying a Reference API
 // store.
 func refShardsOf(shards []*shard) []*shard {
@@ -85,7 +78,7 @@ func clusterList(shards []*shard) string {
 }
 
 func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
-	shards := g.refShards()
+	shards := refShardsOf(g.shards)
 	switch len(shards) {
 	case 0:
 		notConfigured(w, "reference API")
@@ -98,17 +91,6 @@ func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
 	default:
 		g.serveFederatedInventory(shards, w, r)
 	}
-}
-
-// downSetKey suffixes a federated cache/ETag key with the lost-site set, so
-// a degraded merge never serves (or matches a conditional request against)
-// a body rendered while the grid was whole, and vice versa.
-func downSetKey(d *DegradedJSON) string {
-	if d == nil {
-		return ""
-	}
-	lost := append(append([]string(nil), d.DownSites...), d.UnreachableSites...)
-	return "|down:" + strings.Join(lost, "+")
 }
 
 // serveShardInventory is the single-store path: full ?version= archive
@@ -149,70 +131,18 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 		httpError(w, http.StatusNotFound, fmt.Sprintf("version %d not archived (latest is %d)", ver, cur))
 		return
 	}
-	etag := versionETag(ver)
-	w.Header().Set("ETag", etag)
 	if ver < cur {
 		// Archived versions are immutable: let clients cache them hard.
 		w.Header().Set("Cache-Control", "public, max-age=86400")
 	}
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	body, err := s.inventoryBody(ver)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
-}
-
-// inventoryBody returns the rendered JSON of one archived version, from the
-// per-version cache when possible. The cache is bounded: campaigns archive
-// thousands of versions but traffic concentrates on the newest few. The
-// render happens outside invMu — cache hits (the hot path) must never
-// queue behind a cache miss marshaling a multi-thousand-node snapshot; a
-// duplicate render per version under contention is the cheaper price.
-func (s *shard) inventoryBody(ver int) ([]byte, error) {
-	s.invMu.Lock()
-	body, ok := s.invCache[ver]
-	s.invMu.Unlock()
-	if ok {
-		return body, nil
-	}
-	var snap *refapi.Snapshot
-	s.rlocked(func() { snap = s.cfg.Ref.Version(ver) })
-	if snap == nil {
-		return nil, fmt.Errorf("version %d vanished", ver)
-	}
-	body, err := snap.MarshalJSONIndent()
-	if err != nil {
-		return nil, err
-	}
-	s.invMu.Lock()
-	defer s.invMu.Unlock()
-	if cached, ok := s.invCache[ver]; ok {
-		return cached, nil // raced with another renderer; keep its copy
-	}
-	// Bounded: evict oldest versions first, never the one just rendered —
-	// under churn the hot current version must stay cached. When every
-	// cached entry is newer (a client scraping history oldest-ward), skip
-	// caching entirely rather than grow past the bound.
-	for len(s.invCache) >= 8 {
-		oldest := ver
-		for v := range s.invCache {
-			if v < oldest {
-				oldest = v
-			}
+	serveVersioned(w, r, versionETag(ver), s.inv, func() (any, error) {
+		var snap *refapi.Snapshot
+		s.rlocked(func() { snap = st.Version(ver) })
+		if snap == nil {
+			return nil, fmt.Errorf("version %d vanished", ver)
 		}
-		if oldest == ver {
-			return body, nil
-		}
-		delete(s.invCache, oldest)
-	}
-	s.invCache[ver] = body
-	return body, nil
+		return snap, nil
+	})
 }
 
 // ClusterInventoryJSON is one store's slice of a site inventory section —
@@ -254,6 +184,29 @@ func joinedVersions(shards []*shard) (string, []int) {
 	return sb.String(), vers
 }
 
+// inventorySections renders each store at its version as per-site
+// sections in shard order, one cluster entry per store.
+func inventorySections(shards []*shard, vers []int) ([]SiteInventoryJSON, error) {
+	out := []SiteInventoryJSON{}
+	idxOf := map[string]int{}
+	for i, s := range shards {
+		var snap *refapi.Snapshot
+		s.rlocked(func() { snap = s.cfg.Ref.Version(vers[i]) })
+		if snap == nil {
+			return nil, fmt.Errorf("site %q cluster %q version %d vanished", s.site, s.cluster, vers[i])
+		}
+		j, ok := idxOf[s.site]
+		if !ok {
+			j = len(out)
+			idxOf[s.site] = j
+			out = append(out, SiteInventoryJSON{Site: s.site})
+		}
+		out[j].Clusters = append(out[j].Clusters,
+			ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
+	}
+	return out, nil
+}
+
 func (g *Gateway) serveFederatedInventory(shards []*shard, w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("version") != "" {
 		httpError(w, http.StatusBadRequest,
@@ -261,52 +214,13 @@ func (g *Gateway) serveFederatedInventory(shards []*shard, w http.ResponseWriter
 				"(or time travel with ?at=<simtime seconds> there, and /grid/at?t= for the whole grid)")
 		return
 	}
-	degraded := g.degradedMarker()
-	shards = g.availableShards(shards)
+	view := g.chaosView()
+	shards = view.shards(shards)
 	key, vers := joinedVersions(shards)
-	key += downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.fedMu.Lock()
-	body := g.fedInvBody
-	hit := g.fedInvKey == key && body != nil
-	g.fedMu.Unlock()
-	if !hit {
-		out := FederatedInventoryJSON{Degraded: degraded, Sites: []SiteInventoryJSON{}}
-		idxOf := map[string]int{}
-		for i, s := range shards {
-			var snap *refapi.Snapshot
-			s.rlocked(func() { snap = s.cfg.Ref.Version(vers[i]) })
-			if snap == nil {
-				httpError(w, http.StatusInternalServerError,
-					fmt.Sprintf("site %q version %d vanished", s.site, vers[i]))
-				return
-			}
-			j, ok := idxOf[s.site]
-			if !ok {
-				j = len(out.Sites)
-				idxOf[s.site] = j
-				out.Sites = append(out.Sites, SiteInventoryJSON{Site: s.site})
-			}
-			out.Sites[j].Clusters = append(out.Sites[j].Clusters,
-				ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
-		}
-		var err error
-		body, err = marshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.fedMu.Lock()
-		g.fedInvKey, g.fedInvBody = key, body
-		g.fedMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+	serveVersioned(w, r, `"`+key+view.keySuffix()+`"`, g.fedInv, func() (any, error) {
+		sites, err := inventorySections(shards, vers)
+		return FederatedInventoryJSON{Degraded: view.marker, Sites: sites}, err
+	})
 }
 
 // RefDiffJSON is the wire form of GET /ref/diff.
@@ -336,7 +250,7 @@ type FederatedDiffJSON struct {
 }
 
 func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
-	shards := g.refShards()
+	shards := refShardsOf(g.shards)
 	switch len(shards) {
 	case 0:
 		notConfigured(w, "reference API")
@@ -370,10 +284,7 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 	}
 	if from == 0 {
 		// Default: what changed in the latest version.
-		from = to - 1
-		if from < 1 {
-			from = 1
-		}
+		from = max(to-1, 1)
 	}
 	if from > cur || to > cur {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("version range %d..%d exceeds latest %d", from, to, cur))
@@ -383,44 +294,13 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("from %d > to %d", from, to))
 		return
 	}
-	etag := fmt.Sprintf(`"v%d-v%d"`, from, to)
-	w.Header().Set("ETag", etag)
 	if to < cur {
 		w.Header().Set("Cache-Control", "public, max-age=86400")
 	}
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	body, err := s.refDiffBody(from, to)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
-}
-
-// refDiffBody renders (and memoizes) the diff between two archived
-// versions. A single-entry cache suffices: traffic overwhelmingly asks for
-// the same (latest-1, latest) pair until the store moves on.
-func (s *shard) refDiffBody(from, to int) ([]byte, error) {
-	s.diffMu.Lock()
-	defer s.diffMu.Unlock()
-	if s.diffBody != nil && s.diffFrom == from && s.diffTo == to {
-		return s.diffBody, nil
-	}
-	diffs, err := s.diffSlice(from, to)
-	if err != nil {
-		return nil, err
-	}
-	out := RefDiffJSON{From: from, To: to, Count: len(diffs), Differences: diffs}
-	body, err := marshalIndent(out)
-	if err != nil {
-		return nil, err
-	}
-	s.diffFrom, s.diffTo, s.diffBody = from, to, body
-	return body, nil
+	serveVersioned(w, r, fmt.Sprintf(`"v%d-v%d"`, from, to), s.diff, func() (any, error) {
+		diffs, err := s.diffSlice(from, to)
+		return RefDiffJSON{From: from, To: to, Count: len(diffs), Differences: diffs}, err
+	})
 }
 
 // diffSlice computes the differences between two archived versions under
@@ -438,6 +318,31 @@ func (s *shard) diffSlice(from, to int) ([]refapi.Difference, error) {
 	return diffs, nil
 }
 
+// diffSections renders each store's latest-step diff (version-1 →
+// version) as per-site sections in shard order.
+func diffSections(shards []*shard, vers []int) ([]SiteDiffJSON, error) {
+	out := []SiteDiffJSON{}
+	idxOf := map[string]int{}
+	for i, s := range shards {
+		to := vers[i]
+		from := max(to-1, 1)
+		diffs, err := s.diffSlice(from, to)
+		if err != nil {
+			return nil, err
+		}
+		j, ok := idxOf[s.site]
+		if !ok {
+			j = len(out)
+			idxOf[s.site] = j
+			out = append(out, SiteDiffJSON{Site: s.site})
+		}
+		out[j].Clusters = append(out[j].Clusters,
+			RefDiffJSON{Cluster: s.cluster, From: from, To: to, Count: len(diffs), Differences: diffs})
+		out[j].Count += len(diffs)
+	}
+	return out, nil
+}
+
 func (g *Gateway) serveFederatedDiff(shards []*shard, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("from") != "" || q.Get("to") != "" {
@@ -445,68 +350,20 @@ func (g *Gateway) serveFederatedDiff(shards []*shard, w http.ResponseWriter, r *
 			"version ranges are per-site; use /sites/{site}/ref/diff?from=&to=")
 		return
 	}
-	degraded := g.degradedMarker()
-	shards = g.availableShards(shards)
+	view := g.chaosView()
+	shards = view.shards(shards)
 	key, vers := joinedVersions(shards)
-	key = "d" + key + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.fedMu.Lock()
-	body := g.fedDiffBody
-	hit := g.fedDiffKey == key && body != nil
-	g.fedMu.Unlock()
-	if !hit {
-		out := FederatedDiffJSON{Degraded: degraded, Sites: []SiteDiffJSON{}}
-		idxOf := map[string]int{}
-		for i, s := range shards {
-			to := vers[i]
-			from := to - 1
-			if from < 1 {
-				from = 1
-			}
-			diffs, err := s.diffSlice(from, to)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			j, ok := idxOf[s.site]
-			if !ok {
-				j = len(out.Sites)
-				idxOf[s.site] = j
-				out.Sites = append(out.Sites, SiteDiffJSON{Site: s.site})
-			}
-			out.Sites[j].Clusters = append(out.Sites[j].Clusters,
-				RefDiffJSON{Cluster: s.cluster, From: from, To: to,
-					Count: len(diffs), Differences: diffs})
-			out.Sites[j].Count += len(diffs)
-			out.Count += len(diffs)
+	serveVersioned(w, r, `"d`+key+view.keySuffix()+`"`, g.fedDiff, func() (any, error) {
+		sites, err := diffSections(shards, vers)
+		out := FederatedDiffJSON{Degraded: view.marker, Sites: sites}
+		for _, site := range sites {
+			out.Count += site.Count
 		}
-		var err error
-		body, err = marshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.fedMu.Lock()
-		g.fedDiffKey, g.fedDiffBody = key, body
-		g.fedMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return out, err
+	})
 }
 
 // ---- site-scoped views over micro-shards ------------------------------------
-
-// siteRefCache is one rendered joined site view plus the joined version
-// key it was rendered at.
-type siteRefCache struct {
-	key  string
-	body []byte
-}
 
 // serveSiteInventory implements /sites/{site}/ref/inventory. A site with a
 // single store keeps full single-store semantics on the bare path
@@ -542,45 +399,13 @@ func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request, sit
 		return
 	}
 	key, vers := joinedVersions(shards)
-	key = "s" + key
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.siteRefMu.Lock()
-	cached := g.siteInvCache[site]
-	g.siteRefMu.Unlock()
-	body := cached.body
-	if cached.key != key || body == nil {
-		out := SiteInventoryJSON{Site: site}
-		for i, s := range shards {
-			var snap *refapi.Snapshot
-			s.rlocked(func() { snap = s.cfg.Ref.Version(vers[i]) })
-			if snap == nil {
-				httpError(w, http.StatusInternalServerError,
-					fmt.Sprintf("cluster %q version %d vanished", s.cluster, vers[i]))
-				return
-			}
-			out.Clusters = append(out.Clusters,
-				ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
-		}
-		var err error
-		body, err = marshalIndent(out)
+	serveVersioned(w, r, `"s`+key+`"`, g.siteInv[site], func() (any, error) {
+		sites, err := inventorySections(shards, vers)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+			return nil, err
 		}
-		g.siteRefMu.Lock()
-		if g.siteInvCache == nil {
-			g.siteInvCache = map[string]siteRefCache{}
-		}
-		g.siteInvCache[site] = siteRefCache{key: key, body: body}
-		g.siteRefMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return sites[0], nil
+	})
 }
 
 // serveSiteDiff implements /sites/{site}/ref/diff with the same shape as
@@ -614,48 +439,11 @@ func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request, site str
 		return
 	}
 	key, vers := joinedVersions(shards)
-	key = "sd" + key
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.siteRefMu.Lock()
-	cached := g.siteDiffCache[site]
-	g.siteRefMu.Unlock()
-	body := cached.body
-	if cached.key != key || body == nil {
-		out := SiteDiffJSON{Site: site}
-		for i, s := range shards {
-			to := vers[i]
-			from := to - 1
-			if from < 1 {
-				from = 1
-			}
-			diffs, err := s.diffSlice(from, to)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			out.Clusters = append(out.Clusters,
-				RefDiffJSON{Cluster: s.cluster, From: from, To: to,
-					Count: len(diffs), Differences: diffs})
-			out.Count += len(diffs)
-		}
-		var err error
-		body, err = marshalIndent(out)
+	serveVersioned(w, r, `"sd`+key+`"`, g.siteDiff[site], func() (any, error) {
+		sites, err := diffSections(shards, vers)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+			return nil, err
 		}
-		g.siteRefMu.Lock()
-		if g.siteDiffCache == nil {
-			g.siteDiffCache = map[string]siteRefCache{}
-		}
-		g.siteDiffCache[site] = siteRefCache{key: key, body: body}
-		g.siteRefMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return sites[0], nil
+	})
 }

@@ -80,7 +80,7 @@ func siteTopology(label string, tb *testbed.Testbed) []siteTopo {
 // testbed's own mutex, so this listing never queues behind any shard's
 // Advance — the property the site-pinned loadgen scenarios lean on.
 func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
-	out := SitesJSON{Shards: len(g.shards), Degraded: g.degradedMarker()}
+	out := SitesJSON{Shards: len(g.shards), Degraded: g.chaosView().marker}
 	down := map[string]bool{}
 	unreachable := map[string]bool{}
 	if out.Degraded != nil {
