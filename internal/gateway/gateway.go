@@ -169,7 +169,7 @@ type shard struct {
 	// status page (cmd/statuspage, status.Client) runs over the REST API.
 	statusSrc status.Source
 
-	inv  *bodyCache // up to 8 versions
+	inv  *bodyCache
 	diff *bodyCache
 }
 

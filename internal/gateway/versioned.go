@@ -21,11 +21,11 @@ type cacheStats struct {
 	misses atomic.Int64
 }
 
-// bodyCache holds up to max rendered bodies keyed by their ETag, evicting
+// bodyCache holds up to limit rendered bodies keyed by their ETag, evicting
 // the oldest entry first.
 type bodyCache struct {
 	stats *cacheStats
-	max   int
+	limit int
 
 	mu      sync.Mutex
 	entries []cachedBody // oldest first
@@ -36,15 +36,15 @@ type cachedBody struct {
 	body []byte
 }
 
-// newBodyCache makes a cache of at most max bodies counted under family.
+// newBodyCache makes a cache of at most limit bodies counted under family.
 // Assembly-time only: the family table is read-only once serving starts.
-func (g *Gateway) newBodyCache(family string, max int) *bodyCache {
+func (g *Gateway) newBodyCache(family string, limit int) *bodyCache {
 	st := g.cacheStats[family]
 	if st == nil {
 		st = &cacheStats{}
 		g.cacheStats[family] = st
 	}
-	return &bodyCache{stats: st, max: max}
+	return &bodyCache{stats: st, limit: limit}
 }
 
 func (c *bodyCache) get(etag string) ([]byte, bool) {
@@ -69,9 +69,9 @@ func (c *bodyCache) put(etag string, body []byte) {
 			return
 		}
 	}
-	if len(c.entries) == c.max {
+	if len(c.entries) == c.limit {
 		copy(c.entries, c.entries[1:])
-		c.entries = c.entries[:c.max-1]
+		c.entries = c.entries[:c.limit-1]
 	}
 	c.entries = append(c.entries, cachedBody{etag, body})
 }
